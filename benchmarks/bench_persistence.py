@@ -2,12 +2,12 @@
 
 The write-behind AOF is flushed once per batch (after the store lock is
 released, before replies go out), so its cost at the headline load —
-64 connections × pipeline depth 16, the same SET/GET wave driver as
-``bench_server_throughput`` — should be one buffered ``write(2)`` per
-wave per connection batch, not per command. This benchmark measures
-exactly that: the same server, same driver, three persistence modes:
+64 connections × pipeline depth 16 driven by SET/GET waves — should be
+one buffered ``write(2)`` per wave per connection batch, not per
+command. This benchmark measures exactly that: the same server, same
+driver, three persistence modes:
 
-* ``off``      — no persistence attached (the BENCH_server baseline);
+* ``off``      — no persistence attached (the in-run baseline);
 * ``everysec`` — batched write-behind, fsync deferred to a 1 s cadence
   (the acceptance mode: must hold ≥ 90% of the ``off`` throughput);
 * ``always``   — fsync before every batch's replies (the full-durability
@@ -55,6 +55,7 @@ from repro.kvstore.persist.engine import Persistence, PersistenceConfig
 from repro.kvstore.resp import RespParser, encode_command
 from repro.kvstore.store import DataStore
 from repro.kvstore.tcp import TcpKvServer
+from repro.util.stats import nearest_percentile
 
 MODES = ("off", "everysec", "always")
 CONNECTIONS = 64
@@ -72,12 +73,6 @@ WRITE_FRACTION = 0.5
 #: batch (write per record) or a stray fsync multiplies the delta by
 #: 10-100x and trips this long before it trips machine noise.
 DELTA_ALLOWANCE = 5.0
-
-
-def percentile(samples: list[float], fraction: float) -> float:
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, int(fraction * len(ordered)))
-    return ordered[index]
 
 
 def calibrate_encode_us(target_seconds: float = 0.05) -> float:
@@ -194,8 +189,8 @@ def run_mode(mode: str, seconds: float) -> dict:
             "waves": len(latencies),
             "ops": ops,
             "ops_per_sec": ops / elapsed,
-            "wave_p50_ms": 1000 * percentile(latencies, 0.50),
-            "wave_p99_ms": 1000 * percentile(latencies, 0.99),
+            "wave_p50_ms": 1000 * nearest_percentile(latencies, 0.50),
+            "wave_p99_ms": 1000 * nearest_percentile(latencies, 0.99),
             "aof_bytes": 0,
             "aof_records": 0,
             "fsyncs": 0,
@@ -326,8 +321,8 @@ def write_json(rows: list[dict], headline: dict, path: str,
     document = {
         "benchmark": "bench_persistence",
         "seconds_per_mode": seconds,
-        "baseline_note": "compare off_ops_per_sec with the event-loop "
-                         "headline in BENCH_server.json (same driver)",
+        "baseline_note": "off_ops_per_sec is the in-run "
+                         "no-persistence baseline",
         "headline": headline,
         "results": rows,
     }

@@ -52,19 +52,12 @@ from repro.kvstore.tcp import EventLoopKvServer, TcpKvClient
 from repro.loadgen.driver import DriverReport, drive
 from repro.loadgen.engine import OperationStream
 from repro.loadgen.spec import preset
+from repro.util.stats import nearest_percentile
 
 #: the replicated run must keep this fraction of bare throughput
 OVERHEAD_FLOOR = 0.90
 PREFILL_KEYS = 4096
 LAG_SAMPLE_INTERVAL = 0.002
-
-
-def percentile(samples: list[float], fraction: float) -> float:
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, int(fraction * len(ordered)))
-    return ordered[index]
 
 
 def make_server(name: str) -> EventLoopKvServer:
@@ -203,8 +196,8 @@ def run_round(seconds: float, round_no: int) -> dict:
             ),
             "full_sync_seconds": round(sync_seconds, 4),
             "lag_samples": len(lag_samples),
-            "lag_p50_bytes": percentile(lag_samples, 0.50),
-            "lag_p99_bytes": percentile(lag_samples, 0.99),
+            "lag_p50_bytes": nearest_percentile(lag_samples, 0.50),
+            "lag_p99_bytes": nearest_percentile(lag_samples, 0.99),
             "lag_max_bytes": max(lag_samples, default=0),
             "drain_seconds": round(drain_seconds, 4),
             "stream_bytes": master.store.repl.master_repl_offset,

@@ -32,6 +32,7 @@ from repro.rpc import (
     SmaAgent,
 )
 from repro.sds.soft_linked_list import SoftLinkedList
+from repro.util.stats import nearest_percentile
 from repro.util.units import PAGE_SIZE
 
 ROUNDS = 300
@@ -58,12 +59,6 @@ PROFILES: dict[str, FaultPlan | None] = {
     ),
     "flaky-daemon": FaultPlan(disconnect=0.02, after_frames=6, seed=11),
 }
-
-
-def percentile(samples: list[float], fraction: float) -> float:
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, int(fraction * len(ordered)))
-    return ordered[index]
 
 
 def run_profile(name: str, plan: FaultPlan | None) -> dict:
@@ -115,7 +110,7 @@ def run_profile(name: str, plan: FaultPlan | None) -> dict:
             "profile": name,
             "denial_rate": denied / ROUNDS,
             "avg_ms": 1000 * sum(latencies) / len(latencies),
-            "p95_ms": 1000 * percentile(latencies, 0.95),
+            "p95_ms": 1000 * nearest_percentile(latencies, 0.95),
             "max_ms": 1000 * max(latencies),
             "retries": stats.retries,
             "reconnects": stats.reconnects,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.core.errors import SoftMemoryDenied
+from repro.core.errors import SoftMemoryDenied, SoftMemoryError
 from repro.kvstore.cluster.slots import SLOT_COUNT, key_hash_slot
 from repro.kvstore.resp import OK, PONG, RespError, SimpleString
 from repro.kvstore.store import DataStore, _glob_regex
@@ -845,8 +845,8 @@ _WRITE_NAMES = frozenset((
 
 
 def cmd_replicaof(store: DataStore, args: list[bytes]) -> Any:
-    # role changes need the event loop's feed/link machinery; the
-    # threaded server (and raw dispatch) cannot host them
+    # role changes need the event loop's feed/link machinery; an
+    # in-process session with no transport (raw dispatch) has none
     return RespError("ERR REPLICAOF requires the event-loop server")
 
 
@@ -862,8 +862,9 @@ def cmd_wait(store: DataStore, args: list[bytes]) -> Any:
     """WAIT fallback: the already-acked count, without blocking.
 
     The event-loop server intercepts WAIT and actually waits on the
-    feed sockets; this handler serves the threaded server, where no
-    feeds exist, and answers with what is known right now.
+    feed sockets; this handler serves in-process sessions with no
+    transport, where no feeds exist, and answers with what is known
+    right now.
     """
     if len(args) != 2:
         return _wrong_args("wait")
@@ -1013,6 +1014,11 @@ def dispatch(store: DataStore, argv: list[bytes]) -> Any:
         return RespError(
             "OOM command not allowed when soft memory cannot be allocated"
         )
+    except SoftMemoryError as exc:
+        # any other soft-memory fault (say, a pointer reclaimed under
+        # the command) fails this command only; unwinding would take
+        # the event loop, and every connection on it, down with it
+        return RespError(f"ERR soft memory error: {exc}")
     except ValueError as exc:
         return RespError(f"ERR {exc}")
     except TypeError as exc:

@@ -141,7 +141,7 @@ class Persistence:
         self._closed = False
         #: guards the writer (buffer + flush) — hooks append under the
         #: server's execution lock, but flush may come from another
-        #: thread (threaded server workers, background checkpoints)
+        #: thread (a replica link, background checkpoints)
         self._io_lock = threading.Lock()
         #: guards checkpoint bookkeeping (one BGSAVE at a time)
         self._save_lock = threading.Lock()

@@ -242,11 +242,6 @@ class RespParser:
         self._len = 0  # valid bytes in ``_buf`` (the rest is slack)
         self.zero_copy_threshold = zero_copy_threshold
         self._use_fast_path = use_fast_path
-        #: True iff the last :meth:`parse_one` value came from the
-        #: command fast path, which certifies a list of only ``bytes``
-        #: (plus, in zero-copy mode, ``memoryview``) elements — servers
-        #: can then skip re-validating the argv
-        self.command_fast = False
         #: lifetime count of memoryview payloads handed out
         self.views_created = 0
         #: lifetime count of :class:`ProtocolError` quarantines
@@ -329,7 +324,6 @@ class RespParser:
         self._buf = bytearray()
         self._pos = 0
         self._len = 0
-        self.command_fast = False
 
     # -- parsing -------------------------------------------------------
 
@@ -473,7 +467,6 @@ class RespParser:
         by :meth:`parse_all`, which callers should prefer; here a null
         parse returns the :data:`NULL` sentinel.
         """
-        self.command_fast = False
         pos = self._pos
         if pos >= self._len:
             return None
@@ -481,7 +474,6 @@ class RespParser:
             frames: list[Any] = []
             status = self.parse_pipeline(frames, limit=1)
             if frames:
-                self.command_fast = True
                 return frames[0]
             if status == PIPELINE_MORE:
                 return None
@@ -540,18 +532,14 @@ class RespParser:
         if kind == b":":
             return _parse_int(self._read_line())
         if kind == b"$":
-            length = _parse_int(self._read_line())
+            length = _parse_length(self._read_line(), "bulk")
             if length == -1:
                 return NULL
-            if length < 0:
-                raise ProtocolError(f"invalid bulk length {length}")
             return self._read_exact(length)
         if kind == b"*":
-            length = _parse_int(self._read_line())
+            length = _parse_length(self._read_line(), "array")
             if length == -1:
                 return NULL
-            if length < 0:
-                raise ProtocolError(f"invalid array length {length}")
             items = []
             for _ in range(length):
                 item = self._parse_value()
@@ -580,6 +568,20 @@ def _parse_int(line: bytes) -> int:
         return int(line)
     except ValueError:
         raise ProtocolError(f"invalid integer {line!r}") from None
+
+
+def _parse_length(line: bytes, kind: str) -> int:
+    """A bulk/array length: -1 (null) or non-negative.
+
+    Like Redis, a minus sign is only valid in ``-1``: ``-0`` is an
+    error, not an empty value. The command fast path hands every
+    ``-``-signed length to this parser, so it can never turn into a
+    valid argv here.
+    """
+    length = _parse_int(line)
+    if length < -1 or (length >= 0 and line[:1] == b"-"):
+        raise ProtocolError(f"invalid {kind} length {line.decode('latin-1')}")
+    return length
 
 
 def _decode_line(line: bytes) -> str:

@@ -3,16 +3,17 @@
 Like Redis, the server is single-threaded: it consumes a client's RESP
 byte stream, executes each complete command against the store, and
 emits the RESP replies. Transport is left to the caller (the tests and
-examples drive it in-process; the TCP front-ends shuttle bytes).
+examples drive it in-process; the TCP front-end shuttles bytes).
 
 The hot path is :meth:`KvServer.pump`: the parser drains every
 complete pipelined command in one tight loop
 (:meth:`~repro.kvstore.resp.RespParser.parse_pipeline`), then this
 module executes the batch and encodes the replies directly into a
 caller-owned output buffer — zero intermediate ``bytes`` copies
-between parse, dispatch, and encode. The TCP front-ends go one step
-further and ``recv_into`` the parser's buffer, so inbound payload
-bytes are copied exactly once off the socket.
+between parse, dispatch, and encode. Its inlined loop is the only
+place a client command is executed and its latency observed. The TCP
+front-end goes one step further and ``recv_into`` the parser's buffer,
+so inbound payload bytes are copied exactly once off the socket.
 
 Zero-copy argv discipline: the parser hands bulk payloads >=
 :data:`ZERO_COPY_THRESHOLD` bytes out as ``memoryview`` slices of its
@@ -43,7 +44,6 @@ from time import perf_counter
 
 from repro.kvstore.commands import dispatch
 from repro.kvstore.resp import (
-    NULL,
     PIPELINE_MORE,
     ProtocolError,
     RespError,
@@ -124,7 +124,7 @@ class KvServer:
 
     @property
     def parser(self) -> RespParser:
-        """The session's parser (TCP front-ends ``recv_into`` its buffer)."""
+        """The session's parser (the TCP front-end reads into its buffer)."""
         return self._parser
 
     def pump(self, out: bytearray) -> int:
@@ -204,27 +204,16 @@ class KvServer:
             if status == PIPELINE_MORE:
                 break
             # PIPELINE_FALLBACK: one frame that is not a plain command
-            # array (another RESP type, a null, a mixed array) — pop it
-            # with the generic parser and answer like Redis would
+            # array (another RESP type, a null, a mixed array). The fast
+            # path takes every all-bulk array, so this frame is never a
+            # valid argv: pop it with the generic parser and refuse it
             try:
-                argv = parser.parse_one()
+                if parser.parse_one() is None:
+                    break
             except ProtocolError as exc:
                 self._record_error(exc, out)
                 break
-            if argv is None:
-                break
-            if argv is NULL:  # a client sent a RESP null as a "command"
-                argv = None
-            if type(argv) is list and all(type(a) is bytes for a in argv):
-                dispatched += 1
-                begin = perf_counter()
-                encode(out, dispatch(store, argv))
-                if argv:
-                    # observe_command counts into obs.commands itself,
-                    # so this command must stay out of ``observed``
-                    obs.observe_command(argv[0], perf_counter() - begin, argv)
-            else:
-                encode(out, _BAD_ARGV)
+            encode(out, _BAD_ARGV)
             executed += 1
         self.commands_processed += dispatched
         obs.commands += observed
@@ -252,68 +241,6 @@ class KvServer:
         """Process raw client bytes; return the concatenated replies."""
         out = bytearray()
         self.feed_batch(data, out)
-        return bytes(out)
-
-    def feed_input(self, data: bytes) -> None:
-        """Buffer raw client bytes without executing anything.
-
-        Pair with :meth:`pop_reply` for command-at-a-time serving.
-        """
-        self._parser.feed(data)
-
-    def pop_reply(self) -> bytes | None:
-        """Parse and execute at most one buffered command.
-
-        Returns that command's encoded reply, or ``None`` when no
-        complete command is buffered. This is the classical
-        thread-per-connection serving step — the caller takes its lock
-        and writes the reply once *per command* — kept as the measured
-        contrast to :meth:`pump`'s one-lock-per-batch hot path.
-        """
-        out = bytearray()
-        parser = self._parser
-        try:
-            argv = parser.parse_one()
-        except ProtocolError as exc:
-            # the parser quarantined itself (fresh buffer, reusable);
-            # account the drop like the batch path does
-            self._record_error(exc, out)
-            return bytes(out)
-        if argv is None:
-            return None
-        if argv is NULL:  # a client sent a RESP null as a "command"
-            argv = None
-        if parser.command_fast or (
-            type(argv) is list and all(type(a) is bytes for a in argv)
-        ):
-            if parser.command_fast:
-                # command-at-a-time serving holds argv across lock
-                # drops; zero-copy views must not leave this call
-                _materialize_views(argv)
-            self.commands_processed += 1
-            start = perf_counter()
-            encode_reply_into(out, dispatch(self.store, argv))
-            if argv:
-                self.obs.observe_command(
-                    argv[0], perf_counter() - start, argv
-                )
-        else:
-            encode_reply_into(out, _BAD_ARGV)
-        return bytes(out)
-
-    def _run(self, argv: object) -> bytes:
-        """Execute one already-parsed command vector (compat shim)."""
-        out = bytearray()
-        if type(argv) is list and all(type(a) is bytes for a in argv):
-            self.commands_processed += 1
-            start = perf_counter()
-            encode_reply_into(out, dispatch(self.store, argv))
-            if argv:
-                self.obs.observe_command(
-                    argv[0], perf_counter() - start, argv
-                )
-        else:
-            encode_reply_into(out, _BAD_ARGV)
         return bytes(out)
 
     def __repr__(self) -> str:

@@ -28,6 +28,7 @@ from typing import Iterable, Iterator, Protocol
 
 from repro.kvstore.resp import RespError
 from repro.loadgen.engine import Op
+from repro.util.stats import nearest_percentile
 
 __all__ = ["DriverReport", "PipelinedClient", "drive"]
 
@@ -41,14 +42,6 @@ _READ_VERBS = frozenset((
     b"GET", b"MGET", b"EXISTS", b"TTL", b"PTTL", b"STRLEN",
     b"HGET", b"HGETALL", b"HLEN", b"LRANGE", b"LLEN", b"LINDEX",
 ))
-
-
-def _percentile(samples: list[float], fraction: float) -> float:
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, int(fraction * len(ordered)))
-    return ordered[index]
 
 
 @dataclass
@@ -78,11 +71,11 @@ class DriverReport:
 
     @property
     def batch_p50_ms(self) -> float:
-        return 1000 * _percentile(self.batch_latencies, 0.50)
+        return 1000 * nearest_percentile(self.batch_latencies, 0.50)
 
     @property
     def batch_p99_ms(self) -> float:
-        return 1000 * _percentile(self.batch_latencies, 0.99)
+        return 1000 * nearest_percentile(self.batch_latencies, 0.99)
 
     def note_reply(self, reply: object) -> None:
         if not isinstance(reply, RespError):

@@ -1,11 +1,12 @@
 """The serving-plane observability sink and per-layer metric bindings.
 
 :class:`KvObservability` is the one genuinely hot piece of the
-observability plane: the RESP servers call :meth:`observe_command` once
-per executed command, so it is written for minimum per-event cost — a
-pre-resolved histogram cell per command name (learned on first sight,
-bounded), one ``bisect`` into shared bucket bounds, and a threshold
-compare for the slowlog.  Everything else in this module is *pull*:
+observability plane: every executed command is recorded here, so it is
+written for minimum per-event cost — a pre-resolved histogram cell per
+command name (learned on first sight, bounded), one ``bisect`` into
+shared bucket bounds, and a threshold compare for the slowlog.
+``KvServer.pump`` inlines exactly the steps of :meth:`observe_command`
+with those lookups hoisted out of its loop.  Everything else in this module is *pull*:
 ``bind_*`` helpers register gauges whose callables read the existing
 stats structs (``SmaStats``, ``AgentStats``, the SMD counters, server
 counters) only when a snapshot is taken, adding zero cost to the
@@ -46,8 +47,8 @@ class KvObservability:
     """Per-store observability: command latency, batch sizes, slowlog.
 
     ``commands`` / ``protocol_errors`` are plain ints because every
-    writer path is serialized by the server's store lock (event loop:
-    one thread; threaded server: one lock around execution).
+    writer path runs on the event loop's thread, under the server's
+    execution lock.
     """
 
     def __init__(
@@ -384,24 +385,17 @@ def bind_persistence(
 def bind_server(
     registry: MetricsRegistry, server: Any, prefix: str = "server"
 ) -> None:
-    """Expose a TCP front-end's counters as pull gauges.
-
-    Works for both :class:`~repro.kvstore.tcp.EventLoopKvServer` and
-    :class:`~repro.kvstore.tcp.ThreadedKvServer`; attributes specific
-    to the event loop are bound only when present.  Rebinding (a new
-    server over the same store) points the gauges at the new server.
+    """Expose a :class:`~repro.kvstore.tcp.EventLoopKvServer`'s counters
+    as pull gauges.  Rebinding (a new server over the same store)
+    points the gauges at the new server.
     """
-    registry.gauge(
-        f"{prefix}.connections_served",
-        fn=lambda: server.connections_served,
-    )
-    registry.gauge(
-        f"{prefix}.commands_processed",
-        fn=lambda: server.commands_processed,
-    )
-    for attr in ("clients_dropped", "batches_executed", "max_batch"):
-        if hasattr(server, attr):
-            registry.gauge(
-                f"{prefix}.{attr}",
-                fn=lambda a=attr: getattr(server, a),
-            )
+    for attr in (
+        "connections_served",
+        "commands_processed",
+        "clients_dropped",
+        "batches_executed",
+        "max_batch",
+    ):
+        registry.gauge(
+            f"{prefix}.{attr}", fn=lambda a=attr: getattr(server, a)
+        )

@@ -39,6 +39,22 @@ def percentile(values: Sequence[float], pct: float) -> float:
     return float(min(max(value, lo), hi))
 
 
+def nearest_percentile(samples: Sequence[float], fraction: float) -> float:
+    """Nearest-index percentile: the sorted sample at ``int(fraction * n)``.
+
+    ``fraction`` is in [0, 1]; the index is clamped to the last sample,
+    and an empty sample gives 0.0. Unlike :func:`percentile` it never
+    interpolates, so it always returns an observed value.
+
+    >>> nearest_percentile([4, 1, 3, 2], 0.5)
+    3
+    """
+    if not samples:
+        return 0.0
+    ordered = sorted(samples)
+    return ordered[min(len(ordered) - 1, int(fraction * len(ordered)))]
+
+
 @dataclass(frozen=True)
 class Summary:
     """Five-number-ish summary of a sample."""

@@ -1,10 +1,11 @@
 """Event-loop serving plane: the scenarios a selector loop must survive.
 
-The generic TCP contract is covered by ``test_tcp.py`` (parametrized
-over both servers); this file targets what is specific to the single
-threaded event loop — interleaved partial frames across many sockets,
-deep pipeline ordering, slow-client backpressure, protocol poison mid
-pipeline, and shutdown with output still owed.
+The generic TCP contract is covered by ``test_tcp.py``; this file
+targets what is specific to the single-threaded event loop —
+interleaved partial frames across many sockets, deep pipeline
+ordering, slow-client backpressure, protocol poison mid pipeline, a
+command failing with a soft-memory fault, and shutdown with output
+still owed.
 """
 
 import socket
@@ -12,6 +13,7 @@ import time
 
 import pytest
 
+from repro.core.errors import ReclaimedMemoryError
 from repro.core.locking import LockedSoftMemoryAllocator
 from repro.kvstore.resp import RespError, RespParser, encode_command
 from repro.kvstore.store import DataStore
@@ -170,6 +172,34 @@ class TestProtocolPoison:
             with pytest.raises(RespError):
                 client._next_reply()
             assert str(client.execute("PING")) == "PONG"
+
+
+class TestSoftMemoryFaultContainment:
+    def test_fault_in_one_command_keeps_the_server_up(
+        self, server, store, monkeypatch
+    ):
+        """A soft-memory fault raised inside one command answers that
+        command with an error; the loop, the connection and the
+        listener all keep serving."""
+        get = store.get
+        raised = []
+
+        def get_once(key):
+            if not raised:
+                raised.append(key)
+                raise ReclaimedMemoryError(42)
+            return get(key)
+
+        monkeypatch.setattr(store, "get", get_once)
+        with TcpKvClient(server.address) as client:
+            client.execute("SET", "k", "v")
+            with pytest.raises(RespError, match="allocation 42 was reclaimed"):
+                client.execute("GET", "k")
+            assert raised == [b"k"]
+            assert str(client.execute("PING")) == "PONG"
+            assert client.execute("GET", "k") == b"v"
+        with TcpKvClient(server.address, timeout=2.0) as fresh:
+            assert str(fresh.execute("PING")) == "PONG"
 
 
 class TestCleanShutdown:

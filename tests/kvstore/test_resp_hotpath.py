@@ -9,7 +9,8 @@ zero-copy hot path:
 * explicit dropped-byte accounting for poisoned batches;
 * ``RespError`` equality/hash contract;
 * differential fuzz: the command fast path and the generic recursive
-  parser agree on every byte-split permutation of a stream;
+  parser agree on every byte-split permutation of a stream, and a
+  frame the fast path refuses is never a valid command;
 * zero-copy lifetime: memoryview payloads handed out by the parser
   materialize before anything retains them, so values survive buffer
   compaction and reuse.
@@ -21,7 +22,7 @@ import socket
 import threading
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.locking import LockedSoftMemoryAllocator
 from repro.kvstore.resp import (
@@ -104,15 +105,6 @@ class TestQuarantine:
         out.clear()
         assert server.feed_batch(encode_command("PING"), out) == 1
         assert bytes(out) == b"+PONG\r\n"
-
-    def test_pop_reply_reusable_after_poison(self):
-        server = make_server()
-        server.feed_input(self.POISON_MID_FRAME + self.FAKE_TAIL)
-        reply = server.pop_reply()
-        assert reply is not None and reply.startswith(b"-ERR protocol error")
-        assert server.pop_reply() is None  # the fake tail was dropped
-        server.feed_input(encode_command("PING"))
-        assert server.pop_reply() == b"+PONG\r\n"
 
     def test_tcp_client_reply_stream_recovers(self):
         """The regression from the issue: ``TcpKvClient`` keeps one
@@ -238,7 +230,6 @@ class TestInternedReplies:
         p = RespParser()
         p.feed(b"*0\r\n")
         assert p.parse_one() == []
-        assert p.command_fast
 
     def test_multi_digit_frames(self):
         p = RespParser()
@@ -254,6 +245,17 @@ class TestInternedReplies:
         assert frames == []
         assert p.buffered_bytes == len(b"*-1\r\n")  # untouched
         assert p.parse_all() == [None]
+
+    @pytest.mark.parametrize(
+        "frame", [b"*-0\r\n", b"*1\r\n$-0\r\n\r\n", b"$-00\r\n\r\n"]
+    )
+    def test_negative_zero_length_is_a_protocol_error(self, frame):
+        """Like Redis, only ``-1`` may carry a minus sign: ``-0`` is not
+        an empty array or bulk, on either parser path."""
+        for parser in (RespParser(), RespParser(use_fast_path=False)):
+            parser.feed(frame)
+            with pytest.raises(ProtocolError, match="length -0"):
+                parser.parse_one()
 
     def test_pipeline_drains_batches(self):
         p = RespParser()
@@ -364,6 +366,57 @@ def test_pipelined_commands_roundtrip_both_paths(commands):
     fast.feed(payload)
     slow.feed(payload)
     assert fast.parse_all() == slow.parse_all() == commands
+
+
+#: raw RESP elements of every kind a client could put in a frame,
+#: including the spellings the fast path refuses: null bulks, ``-0``
+#: lengths, null and negative arrays
+_simple_text = st.text(alphabet="abcXYZ 019", max_size=8)
+raw_elements = st.recursive(
+    st.one_of(
+        st.binary(max_size=8).map(lambda b: b"$%d\r\n%s\r\n" % (len(b), b)),
+        st.sampled_from([
+            b"$-1\r\n", b"$-0\r\n\r\n", b"$-00\r\n\r\n", b"$-2\r\n",
+            b"*-1\r\n", b"*-0\r\n", b"*-3\r\n", b"*0\r\n",
+        ]),
+        st.integers(min_value=-1000, max_value=1000).map(
+            lambda i: b":%d\r\n" % i
+        ),
+        _simple_text.map(lambda t: b"+" + t.encode() + b"\r\n"),
+        _simple_text.map(lambda t: b"-ERR " + t.encode() + b"\r\n"),
+    ),
+    lambda children: st.lists(children, max_size=4).map(
+        lambda items: b"*%d\r\n" % len(items) + b"".join(items)
+    ),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw_elements)
+@example(b"*-0\r\n")
+@example(b"*1\r\n$-0\r\n\r\n")
+@example(b"*2\r\n$4\r\nPING\r\n$-00\r\n\r\n")
+@example(b"*2\r\n$3\r\nGET\r\n$-1\r\n")
+@example(b"*2\r\n$3\r\nGET\r\n*1\r\n$1\r\nk\r\n")
+def test_fallback_frame_is_never_a_command(frame):
+    """The fact ``KvServer.pump`` relies on: a frame the command fast
+    path hands back as PIPELINE_FALLBACK never parses, generically, to
+    a list of only ``bytes`` — so the pump may refuse every such frame
+    without dispatching it."""
+    parser = RespParser(zero_copy_threshold=ZERO_COPY_THRESHOLD)
+    parser.feed(frame)
+    frames: list[list] = []
+    if parser.parse_pipeline(frames) != PIPELINE_FALLBACK or frames:
+        return
+    try:
+        value = parser.parse_one()
+    except ProtocolError:
+        return
+    assert value is not None  # the frame is complete
+    assert not (
+        type(value) is list and all(type(a) is bytes for a in value)
+    ), value
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,12 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.util.stats import Summary, percentile, summarize
+from repro.util.stats import (
+    Summary,
+    nearest_percentile,
+    percentile,
+    summarize,
+)
 
 
 class TestPercentile:
@@ -48,6 +53,38 @@ class TestPercentile:
     @given(st.lists(st.floats(min_value=-1e9, max_value=1e9), min_size=2))
     def test_monotone_in_pct(self, data):
         assert percentile(data, 25) <= percentile(data, 75)
+
+
+class TestNearestPercentile:
+    def test_picks_the_sorted_sample_at_int_fraction_n(self):
+        data = [40, 10, 30, 20]
+        assert nearest_percentile(data, 0.0) == 10
+        assert nearest_percentile(data, 0.5) == 30  # index int(2.0)
+        assert nearest_percentile(data, 0.74) == 30  # index int(2.96)
+        assert nearest_percentile(data, 0.75) == 40
+
+    def test_index_clamped_to_last_sample(self):
+        assert nearest_percentile([3, 1, 2], 0.99) == 3
+        assert nearest_percentile([3, 1, 2], 1.0) == 3
+
+    def test_never_interpolates(self):
+        assert nearest_percentile([1, 2], 0.5) == 2
+        assert percentile([1, 2], 50) == 1.5
+
+    def test_empty_is_zero(self):
+        assert nearest_percentile([], 0.99) == 0.0
+
+    def test_input_left_unsorted(self):
+        data = [9, 1, 5]
+        nearest_percentile(data, 0.5)
+        assert data == [9, 1, 5]
+
+    @given(
+        st.lists(st.floats(min_value=-1e9, max_value=1e9), min_size=1),
+        st.floats(min_value=0, max_value=1),
+    )
+    def test_returns_an_observed_sample(self, data, fraction):
+        assert nearest_percentile(data, fraction) in data
 
 
 class TestSummarize:
